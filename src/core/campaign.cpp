@@ -13,10 +13,9 @@ namespace actnet::core {
 namespace {
 
 /// Bump when app tunings or protocol parameters change in a way that
-/// invalidates cached measurements. v3: topology gained k-ary builder
-/// parameters (k, trunk_propagation) and a partition layout — caches
-/// written before those fields existed must not be served against them.
-constexpr const char* kSchemaVersion = "actnet-v3";
+/// invalidates cached measurements, or when the fingerprint's terms change.
+/// v4: the k-ary builder and trunk-propagation terms left the topology.
+constexpr const char* kSchemaVersion = "actnet-v4";
 
 }  // namespace
 
@@ -51,8 +50,6 @@ std::string Campaign::fingerprint() const {
      << "|cps=" << config_.opts.cluster.machine.cores_per_socket
      << "|net.n=" << net.nodes << "|net.pods=" << net.pods
      << "|net.spines=" << net.spines << "|net.tf=" << net.trunk_factor
-     << "|net.k=" << net.k << "|net.tprop=" << net.trunk_propagation
-     << "|part.doms=" << (net.pods > 1 ? net.pods + 1 : 1)
      << "|net.bw=" << net.link_bandwidth << "|net.prop=" << net.link_propagation
      << "|net.mtu=" << net.mtu << "|net.rxoh=" << net.recv_overhead
      << "|net.q=" << net.drr_quantum

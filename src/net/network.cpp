@@ -39,18 +39,6 @@ std::unique_ptr<Switch> make_switch(sim::Engine& engine,
 
 }  // namespace
 
-NetworkConfig NetworkConfig::k_ary_fat_tree(int k) {
-  ACTNET_CHECK_MSG(k >= 2 && k % 2 == 0,
-                   "k-ary fat tree needs an even k >= 2, got " << k);
-  NetworkConfig c;
-  c.k = k;
-  c.pods = k;
-  c.spines = k / 2;
-  c.nodes = k * (k / 2);
-  c.trunk_propagation = units::ns(500);
-  return c;
-}
-
 Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     : engine_(engine), config_(config) {
   ACTNET_CHECK(config_.nodes >= 1);
@@ -90,10 +78,10 @@ Network::Network(sim::Engine& engine, NetworkConfig config, Rng rng)
     for (int p = 0; p < config_.pods; ++p) {
       for (int s = 0; s < config_.spines; ++s) {
         leaf_to_spine_[p].push_back(std::make_unique<Link>(
-            engine_, trunk_bw, config_.trunk_prop(),
+            engine_, trunk_bw, config_.link_propagation,
             config_.drr_quantum));
         spine_to_leaf_[p].push_back(std::make_unique<Link>(
-            engine_, trunk_bw, config_.trunk_prop(),
+            engine_, trunk_bw, config_.link_propagation,
             config_.drr_quantum));
       }
     }

@@ -57,17 +57,6 @@ struct NetworkConfig {
   /// link. The Cab fat tree is fully provisioned (18 node ports, 18 up
   /// ports per leaf): trunk_factor = nodes_per_pod / spines.
   double trunk_factor = 0.0;  ///< 0 = auto (full bisection)
-  /// Leaf<->spine cable propagation; 0 = same as link_propagation (the
-  /// historical behavior). Inter-rack optics are longer than node cables,
-  /// and this bound doubles as the partitioned fabric's conservative
-  /// lookahead — every cross-pod hop crosses one trunk, so no event can
-  /// affect another pod sooner than this (see sim/partition.h).
-  Tick trunk_propagation = 0;
-  /// k-ary fat-tree parameter recorded by k_ary_fat_tree() (0 = topology
-  /// assembled by hand). Purely descriptive for construction — pods/
-  /// spines/nodes carry the shape — but campaign fingerprints hash it so
-  /// caches from differently-built fabrics never alias.
-  int k = 0;
 
   // Cables and ports (QLogic QDR-like numbers).
   double link_bandwidth = units::GBps(5.0);  ///< bytes/sec, each direction
@@ -97,17 +86,6 @@ struct NetworkConfig {
 
   /// A Cab-like 18-node single-switch configuration (the defaults).
   static NetworkConfig cab_like() { return NetworkConfig{}; }
-
-  /// A k-ary fat tree (k even, >= 2): k pods of k/2 nodes behind one leaf
-  /// switch each, k/2 spines, full bisection. k=2 degenerates to two
-  /// two-node pods; k=8 is the 32-node fabric the partitioned benches
-  /// drive. Trunks get 500 ns inter-rack propagation.
-  static NetworkConfig k_ary_fat_tree(int k);
-
-  /// Trunk propagation with the 0 = link_propagation default resolved.
-  Tick trunk_prop() const {
-    return trunk_propagation > 0 ? trunk_propagation : link_propagation;
-  }
 };
 
 /// Point-in-time traffic counters for the whole network.

@@ -15,19 +15,17 @@ OutputQueuedSwitch::OutputQueuedSwitch(sim::Engine& engine,
   ACTNET_CHECK(config_.tail_prob >= 0.0 && config_.tail_prob < 1.0);
 }
 
-Tick sample_output_queued_delay(Rng& rng, const OutputQueuedConfig& config) {
-  Tick d = config.routing_latency;
-  if (config.jitter_mean_ns > 0.0)
-    d += units::ns(rng.lognormal_by_moments(config.jitter_mean_ns,
-                                            config.jitter_stddev_ns));
-  if (config.tail_prob > 0.0 && rng.chance(config.tail_prob))
-    d += units::ns(config.tail_offset_ns +
-                   rng.exponential(config.tail_mean_excess_ns));
-  return d;
-}
-
 Tick OutputQueuedSwitch::sample_stage_delay() {
-  return sample_output_queued_delay(rng_, config_);
+  // Fixed pipeline latency + log-normal arbitration jitter + a rare
+  // exponential-excess tail.
+  Tick d = config_.routing_latency;
+  if (config_.jitter_mean_ns > 0.0)
+    d += units::ns(rng_.lognormal_by_moments(config_.jitter_mean_ns,
+                                             config_.jitter_stddev_ns));
+  if (config_.tail_prob > 0.0 && rng_.chance(config_.tail_prob))
+    d += units::ns(config_.tail_offset_ns +
+                   rng_.exponential(config_.tail_mean_excess_ns));
+  return d;
 }
 
 Tick OutputQueuedSwitch::flowfwd_delay(const Packet& p) {

@@ -78,13 +78,6 @@ struct OutputQueuedConfig {
   double tail_mean_excess_ns = 2000.0;  ///< mean extra beyond the offset
 };
 
-/// Draws one output-queued routing-stage delay from `rng`: fixed pipeline
-/// latency + log-normal arbitration jitter + a rare exponential-excess
-/// tail. Shared by OutputQueuedSwitch (sequential stream) and the
-/// partitioned Fabric (a fresh keyed stream per packet), so both stages
-/// sample the exact same distribution arithmetic.
-Tick sample_output_queued_delay(Rng& rng, const OutputQueuedConfig& config);
-
 class OutputQueuedSwitch final : public Switch {
  public:
   OutputQueuedSwitch(sim::Engine& engine, OutputQueuedConfig config, Rng rng);

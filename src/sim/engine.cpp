@@ -10,6 +10,12 @@
 namespace actnet::sim {
 namespace {
 
+/// Events between flushes of the executed-events counter during a drain.
+/// The stall watchdog reads that counter as its only sign of progress, so
+/// a long healthy drain has to publish before it ends; a power of two
+/// keeps the check to one mask and compare per event.
+constexpr std::uint64_t kProgressBatch = std::uint64_t{1} << 16;
+
 SchedulerKind scheduler_from_env() {
   const std::string v = util::env_string("ACTNET_SCHEDULER");
   if (v.empty() || v == "ladder") return SchedulerKind::kLadder;
@@ -40,12 +46,6 @@ void Engine::attach_metrics(obs::Registry& r) {
                         static_cast<double>(ev)
                   : 0.0;
   });
-}
-
-bool Engine::next_event_time(Tick* t) {
-  if (pending() == 0) return false;
-  *t = kind_ == SchedulerKind::kHeap ? heap_.front().t : ladder_.peek().t;
-  return true;
 }
 
 std::uint32_t Engine::alloc_slot(EventFn fn) {
@@ -122,9 +122,11 @@ std::uint64_t Engine::drain(Tick limit, bool bounded) {
     fn();
     ACTNET_CHECK_MSG(budget_ == 0 || n <= budget_,
                      "event budget exhausted (" << budget_ << ")");
+    if ((n & (kProgressBatch - 1)) == 0 && m_executed_ != nullptr)
+      m_executed_->inc(kProgressBatch);
   }
   if (m_executed_ != nullptr) {
-    m_executed_->inc(n);
+    m_executed_->inc(n & (kProgressBatch - 1));
     const std::uint64_t spills = ladder_.spills();
     if (spills != spills_reported_) {
       m_spills_->inc(spills - spills_reported_);

@@ -102,14 +102,6 @@ class Engine {
   /// Returns the number of events run.
   std::uint64_t run_until(Tick t);
 
-  /// Time of the earliest pending event, written to `*t`; false when the
-  /// queue is empty. Cancelled tombstones count (their keys are still
-  /// queued), so the value is a conservative lower bound — exactly what
-  /// the partitioned runtime's window placement needs. May slide the
-  /// ladder's window forward (hence non-const), but never changes the
-  /// drain order.
-  bool next_event_time(Tick* t);
-
   bool empty() const { return pending() == 0; }
   std::size_t pending() const {
     return kind_ == SchedulerKind::kHeap ? heap_.size() : ladder_.size();

@@ -164,11 +164,12 @@ class LadderQueue {
       // The drain cursor can sit AHEAD of now(): a bounded drain peeks,
       // settle() walks the cursor (or the whole window) forward to a
       // future event, the drain stops at its limit, and the engine keeps
-      // scheduling between the limit and the cursor — partitioned runs do
-      // this every lookahead window. The rung scan is forward-only, so
-      // such a push must not touch the rung — it parks in the front heap,
-      // which serves before every other tier (every rung/ring/overflow
-      // event is at or after the cursor), preserving exact (t, seq) order.
+      // scheduling between the limit and the cursor — time sliced through
+      // Cluster::run_for does this at every slice boundary. The rung scan
+      // is forward-only, so such a push must not touch the rung — it parks
+      // in the front heap, which serves before every other tier (every
+      // rung/ring/overflow event is at or after the cursor), preserving
+      // exact (t, seq) order.
       detail::heap_push(front_, k);
       return;
     }

@@ -1,9 +1,9 @@
 // Shared machinery for the equivalence/conformance test family
-// (scheduler heap-vs-ladder, flow-forward on/off, partitioned fabric).
+// (scheduler heap-vs-ladder, flow-forward on/off).
 //
 // These tests all have the same shape: run the same deterministic workload
 // under two corners of a knob matrix ({scheduler} x {fastpath} x
-// {flowfwd} x {partitions}) and demand byte-identical results — or, where
+// {flowfwd}) and demand byte-identical results — or, where
 // RNG draw order legitimately shifts, gate the drift against the
 // checked-in envelope in valid/tolerances.json. The pieces every such
 // test needs (a platform-independent generator, temp cache paths, the

@@ -125,7 +125,7 @@ TEST(FatTree, SingleSwitchDefaultIsUnchanged) {
   EXPECT_EQ(net.leaf_counters(0).packets, 1u);
 }
 
-TEST(FatTree, BigFabricManyPods) {
+TEST(FatTree, SeventyTwoNodesFourPods) {
   sim::Engine e;
   Network net(e, fat_tree_config(72, 4, 4), Rng(1));
   int delivered = 0;

@@ -5,9 +5,10 @@
 // EXACTLY the heap's (time, seq) total order. These tests attack that claim
 // from three directions: randomized schedule/pop workloads replayed through
 // both engines (same-tick bursts, far-future spills past the ladder's ring
-// horizon, run_until interleavings), event-budget accounting, and a full
-// reduced campaign where every {scheduler} x {fastpath} combination with
-// flow-forward pinned on must reproduce the same cache byte for byte.
+// horizon, run_until interleavings and short bounded windows followed by
+// pushes behind the ladder's settled cursor), event-budget accounting, and
+// a full reduced campaign where every {scheduler} x {fastpath} combination
+// with flow-forward pinned on must reproduce the same cache byte for byte.
 // Flow-forward ON vs OFF interleaves switch-stage RNG draws differently on
 // contended ImpactB traffic, so that comparison is gated against the
 // checked-in drift envelope in valid/tolerances.json instead.
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,6 +74,25 @@ class RandomWorkload {
     eng_.run();
   }
 
+  /// Many short run_until windows, as Cluster::run_for slices drive the
+  /// engine. A bounded drain peeks past its limit, which settles the
+  /// ladder's cursor on the next pending event; each window then pushes
+  /// events strictly between the limit and that event, behind the cursor,
+  /// where they must still drain in exact (t, seq) order.
+  void run_windowed(Tick window) {
+    Lcg g{seed_ ^ 0x5851f42d4c957f2dull};
+    Tick limit = 0;
+    while (!pending_.empty()) {
+      limit += window;
+      eng_.run_until(limit);
+      if (pending_.empty()) break;
+      const auto gap =
+          static_cast<std::uint64_t>(*pending_.begin() - limit);
+      for (int i = 0; gap > 1 && i < 2; ++i)
+        push(1 + static_cast<Tick>(g.next() % (gap - 1)));
+    }
+  }
+
  private:
   /// Delay menu mixing same-tick (0), near (fits the ladder's current
   /// bucket), mid (lands in a later ring bucket), and far (past the
@@ -85,11 +106,17 @@ class RandomWorkload {
 
   void spawn(Tick delay) {
     if (scheduled_ >= max_events_) return;
+    push(delay);
+  }
+
+  void push(Tick delay) {
     const std::uint64_t id = scheduled_++;
+    pending_.insert(eng_.now() + delay);
     eng_.schedule_in(delay, [this, id] { on_event(id); });
   }
 
   void on_event(std::uint64_t id) {
+    pending_.erase(pending_.find(eng_.now()));
     log_.emplace_back(id, eng_.now());
     Lcg g{seed_ ^ (id * 0x2545f4914f6cdd1dull)};
     const int children = static_cast<int>(g.next() % 3);  // 0..2
@@ -102,25 +129,35 @@ class RandomWorkload {
   std::uint64_t seed_;
   std::uint64_t max_events_;
   std::uint64_t scheduled_ = 0;
+  std::multiset<Tick> pending_;  ///< times of scheduled, unexecuted events
   std::vector<std::pair<std::uint64_t, Tick>> log_;
 };
 
 TEST(SchedulerEquivalence, RandomWorkloadsExecuteIdentically) {
-  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
-    RandomWorkload heap(sim::SchedulerKind::kHeap, seed, 4'000);
-    RandomWorkload ladder(sim::SchedulerKind::kLadder, seed, 4'000);
-    heap.seed_roots();
-    ladder.seed_roots();
-    heap.run_interleaved();
-    ladder.run_interleaved();
-    ASSERT_GT(heap.log().size(), 1'000u) << "seed " << seed;
-    ASSERT_EQ(heap.log(), ladder.log()) << "seed " << seed;
-    EXPECT_EQ(heap.engine().events_processed(),
-              ladder.engine().events_processed());
-    // The menu's 3ms/10ms delays overrun the ring from time zero, so the
-    // ladder must actually have exercised its overflow tier.
-    EXPECT_GT(ladder.engine().ladder_spills(), 0u) << "seed " << seed;
-    EXPECT_EQ(heap.engine().ladder_spills(), 0u);
+  // Two drives of each seed: a few long drains, then 500 ns windows with
+  // pushes behind the ladder's cursor after each one.
+  for (const bool windowed : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      RandomWorkload heap(sim::SchedulerKind::kHeap, seed, 4'000);
+      RandomWorkload ladder(sim::SchedulerKind::kLadder, seed, 4'000);
+      for (RandomWorkload* w : {&heap, &ladder}) {
+        w->seed_roots();
+        if (windowed)
+          w->run_windowed(500);
+        else
+          w->run_interleaved();
+      }
+      const std::string where =
+          "seed " + std::to_string(seed) + (windowed ? " (windowed)" : "");
+      ASSERT_GT(heap.log().size(), 1'000u) << where;
+      ASSERT_EQ(heap.log(), ladder.log()) << where;
+      EXPECT_EQ(heap.engine().events_processed(),
+                ladder.engine().events_processed());
+      // The menu's 3ms/10ms delays overrun the ring from time zero, so the
+      // ladder must actually have exercised its overflow tier.
+      EXPECT_GT(ladder.engine().ladder_spills(), 0u) << where;
+      EXPECT_EQ(heap.engine().ladder_spills(), 0u);
+    }
   }
 }
 
@@ -180,8 +217,7 @@ TEST(SchedulerEquivalence, EnvVariableSelectsScheduler) {
 }
 
 // --- end-to-end: scheduler + fast path must not change a single byte ---
-// (rig shared with the flow-forward and partitioned-fabric suites: see
-// equivalence_harness.h)
+// (rig shared with the flow-forward suite: see equivalence_harness.h)
 
 TEST(SchedulerEquivalence, CampaignCacheAndPredictionsAreByteIdentical) {
   // Reference: the classic configuration — heap scheduler, per-packet DRR,

@@ -18,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
+#include "sim/engine.h"
 #include "util/fsio.h"
 
 namespace actnet::obs {
@@ -365,6 +366,60 @@ TEST(StallWatchdog, FlagsOncePerEpisodeAndRecovers) {
   }
   const TelemetryLog loaded = load_telemetry(log);
   EXPECT_EQ(loaded.stall_records, 2u);
+  EXPECT_EQ(loaded.corrupt_lines, 0u);
+  std::filesystem::remove(log);
+}
+
+/// Reschedules itself one tick later until a wall-clock deadline: a drain
+/// that keeps making simulated progress for as long as the test wants.
+struct BusyChain {
+  sim::Engine* engine;
+  std::chrono::steady_clock::time_point until;
+  void operator()() const {
+    if (std::chrono::steady_clock::now() < until) engine->schedule_in(1, *this);
+  }
+};
+
+/// The watchdog against a real engine and the background sampler: one
+/// drain that runs far longer than the stall threshold while executing
+/// events must never be flagged (progress is published from inside the
+/// drain, not only when it returns); one callback that spins without
+/// returning must be.
+TEST(StallWatchdog, LongHealthyDrainIsNotAStallButASpinIs) {
+  using std::chrono::milliseconds;
+  using std::chrono::steady_clock;
+  Registry reg;
+  sim::Engine e;
+  e.attach_metrics(reg);
+  const std::string log = temp_path("drain_stall") + ".jsonl";
+  std::filesystem::remove(log);
+  {
+    TelemetryConfig cfg = test_config(log);
+    cfg.interval_ms = 10;
+    cfg.stall_ms = 400;
+    Sampler s(cfg, &reg);
+    // A non-zero counter first: the watchdog ignores a run that has not
+    // executed its first event yet.
+    e.schedule_now([] {});
+    e.run();
+    s.start();
+
+    e.schedule_now(BusyChain{&e, steady_clock::now() + milliseconds(1500)});
+    e.run();
+    EXPECT_GT(e.events_processed(), std::uint64_t{1} << 16);  // >1 flush
+    EXPECT_EQ(s.stall_episodes(), 0u) << "healthy drain flagged as a stall";
+
+    e.schedule_now([] {
+      const auto until = steady_clock::now() + milliseconds(1200);
+      while (steady_clock::now() < until) {
+      }
+    });
+    e.run();
+    EXPECT_EQ(s.stall_episodes(), 1u) << "spinning callback not flagged";
+    s.stop();
+  }
+  const TelemetryLog loaded = load_telemetry(log);
+  EXPECT_EQ(loaded.stall_records, 1u);
   EXPECT_EQ(loaded.corrupt_lines, 0u);
   std::filesystem::remove(log);
 }
