@@ -291,38 +291,6 @@ void BM_LinkDrrManyFlows(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkDrrManyFlows)->Arg(2)->Arg(32);
 
-/// Message trains on an uncontended port, fast path vs per-packet DRR.
-/// Both variants execute the identical event schedule (that equivalence is
-/// what tests/test_scheduler_equivalence.cpp proves); the delta is pure
-/// bookkeeping: queue entries, flow-map lookups, and ring rotations saved.
-template <bool Fast>
-void BM_LinkMessageTrain(benchmark::State& state) {
-  constexpr int kTrains = 64;
-  constexpr std::uint32_t kPackets = 64;
-  for (auto _ : state) {
-    sim::Engine e;
-    net::Link link(e, units::GBps(5.0), units::ns(50));
-    link.set_fast_path(Fast);
-    struct Driver {
-      net::Link* link;
-      int remaining;
-      void submit() {
-        if (remaining-- <= 0) return;
-        link->transmit_train(1, kPackets, 4096, 0, nullptr,
-                             [this](std::uint32_t i) {
-                               if (i + 1 == kPackets) submit();
-                             });
-      }
-    };
-    Driver d{&link, kTrains};
-    d.submit();
-    e.run();
-  }
-  state.SetItemsProcessed(state.iterations() * kTrains * kPackets);
-}
-BENCHMARK(BM_LinkMessageTrain<true>);
-BENCHMARK(BM_LinkMessageTrain<false>);
-
 /// Serial large messages on an uncontended leaf-local route — the hybrid
 /// packet/flow regime's home turf (DESIGN.md §5.12). <true> advances each
 /// message in closed form (two events per message: injection + delivery

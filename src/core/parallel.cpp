@@ -190,8 +190,8 @@ PrefetchReport ParallelRunner::prefetch(PrefetchScope scope) {
   report.run.wall_ms = elapsed_ms(t_start);
 
   // Fold the registry's counter totals into the report so scheduler and
-  // fast-path health (ladder spills, trains served, demotions) ship with
-  // the campaign summary.
+  // flow-forward health (ladder spills, demotions) ship with the campaign
+  // summary.
   if (obs::enabled()) {
     for (const auto& s : obs::default_registry().snapshot()) {
       if (s.kind == 'c') {

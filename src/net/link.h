@@ -14,17 +14,12 @@
 // time is size/bandwidth; arrival fires `propagation` after serialization
 // ends. Within a flow, ordering is strictly FIFO.
 //
-// Packet-train fast path (DESIGN.md §5.9): on an idle port, a message's
-// packets serialize back-to-back with no arbitration to decide, so
-// transmit_train() parks ONE pooled record per (message, hop) and serves
-// packets straight from it — no per-packet flow-map lookups, deque
-// traffic, ring rotations, or per-packet arrival closures. The moment a
-// competing enqueue lands on the port the remaining packets are demoted
-// into the ordinary DRR structures with exactly the deficit/ring state the
-// slow path would have reached, so every serialization-end and arrival
-// event keeps the tick — and the engine sequence number — it would have
-// had on the per-packet path. Timing and event order are bit-identical by
-// construction; only the bookkeeping cost changes.
+// A multi-packet message goes onto the link as a burst: every packet is
+// enqueue()d before start() serves the first, so the whole message sits in
+// its flow's queue and arbitrates through DRR like any other backlog. That
+// is not the same schedule as one transmit() per packet, which serves the
+// first packet directly and lets a later competitor meet a different
+// deficit state.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +27,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "net/pool.h"
 #include "sim/engine.h"
 #include "util/units.h"
 
@@ -48,11 +42,6 @@ namespace actnet::net {
 /// Flow identifier for fair queueing (global source-rank ids).
 using FlowId = std::uint32_t;
 
-/// Per-train arrival callback: invoked once per packet with the packet's
-/// index within the message. Sized so Network's reconstruct-the-Packet
-/// capture (48 bytes) stays inline.
-using TrainArriveFn = sim::InlineFn<void(std::uint32_t), 56>;
-
 class Link {
  public:
   /// `quantum` is the DRR byte quantum: roughly how many bytes one flow may
@@ -65,36 +54,28 @@ class Link {
   void transmit(FlowId flow, Bytes size, sim::EventFn on_serialized,
                 sim::EventFn on_arrive);
 
-  /// Queues a back-to-back train of `count` packets on `flow`: packet i is
-  /// `full_size` bytes except the last, which is `tail_size` bytes when
-  /// tail_size > 0. `on_arrive(i)` fires as packet i arrives (per-flow
-  /// FIFO order); `on_last_serialized` (optional) fires when the last
-  /// packet's final bit leaves the sender. Equivalent to `count` transmit()
-  /// calls, but an uncontended port serves the train from one pooled
-  /// record (the fast path) instead of `count` queue entries.
-  void transmit_train(FlowId flow, std::uint32_t count, Bytes full_size,
-                      Bytes tail_size, sim::EventFn on_last_serialized,
-                      TrainArriveFn on_arrive);
+  /// Appends `size` bytes to `flow`'s queue without starting service, so
+  /// a caller can queue a whole burst before the first packet is served.
+  /// Fires an armed flow-forward guard first, as transmit() does. Callbacks
+  /// as for transmit(); call start() once the burst is queued.
+  void enqueue(FlowId flow, Bytes size, sim::EventFn on_serialized,
+               sim::EventFn on_arrive);
+  /// Starts serving queued packets if the port is free.
+  void start() {
+    if (!busy_) start_next();
+  }
 
   double bytes_per_sec() const { return bytes_per_sec_; }
   Tick propagation() const { return propagation_; }
 
-  /// Fast path on/off (on by default; Network wires ACTNET_FASTPATH).
-  /// Affects bookkeeping cost only — timing and event order are identical.
-  void set_fast_path(bool on) { fast_ = on; }
-  bool fast_path() const { return fast_; }
-
   // --- flow-forward support (route-level regime; DESIGN.md §5.12) ---
   /// True when a packet transmitted now would serialize immediately:
-  /// nothing in service, nothing queued, no fast-path train, and no armed
-  /// flow-forward guard. The Network's flow-forward eligibility check.
-  bool idle() const {
-    return !busy_ && ring_.empty() && active_train_ == kNoTrain &&
-           !ffwd_guard_;
-  }
+  /// nothing in service, nothing queued, and no armed flow-forward guard.
+  /// The Network's flow-forward eligibility check.
+  bool idle() const { return !busy_ && ring_.empty() && !ffwd_guard_; }
 
   /// Arms a demotion guard on an idle() port: the next transmit() /
-  /// transmit_train() invokes `on_competitor` BEFORE doing anything else,
+  /// enqueue() invokes `on_competitor` BEFORE doing anything else,
   /// so a flow-forwarded message can re-materialize its packets ahead of
   /// the newcomer in FIFO order. An armed port reports idle() == false.
   void arm_flowfwd_guard(sim::EventFn on_competitor);
@@ -138,10 +119,6 @@ class Link {
   Bytes bytes_sent() const { return bytes_; }
   /// Total time spent serializing (utilization = busy_time / elapsed).
   Tick busy_time() const { return busy_time_; }
-  /// Trains accepted on the fast path / trains demoted to per-packet DRR
-  /// by a competing enqueue before completing.
-  std::uint64_t fastpath_trains() const { return fast_trains_; }
-  std::uint64_t fastpath_fallbacks() const { return fast_fallbacks_; }
 
   // --- observability (see obs/metrics.h; Network wires these) ---
   /// Shares aggregate metrics with sibling links: DRR scheduling rounds,
@@ -149,8 +126,6 @@ class Link {
   /// mark. Null pointers leave that metric off.
   void attach_metrics(obs::Counter* drr_rounds, obs::Histogram* queue_depth,
                       obs::Gauge* queue_depth_peak);
-  /// Aggregate fast-path counters ("net.fastpath.*"); null = off.
-  void attach_fastpath_metrics(obs::Counter* trains, obs::Counter* fallbacks);
   /// Emits this link's queue depth as a Chrome-trace counter `track`
   /// whenever the depth changes inside the tracer's time window.
   void set_trace(obs::Tracer* tracer, int pid, std::string track);
@@ -169,35 +144,11 @@ class Link {
     /// credited its quantum for this visit.
     bool visited = false;
   };
-  /// A fast-path train parked in trains_: the undelivered tail of one
-  /// message on this hop. Arrival closures capture {this, slot, index}, so
-  /// the record must outlive every arrival; `live` counts them down.
-  struct Train {
-    TrainArriveFn on_arrive;
-    sim::EventFn on_last_serialized;
-    FlowId flow = 0;
-    std::uint32_t count = 0;
-    std::uint32_t next = 0;  ///< next packet index to serve
-    std::uint32_t live = 0;  ///< arrivals not yet delivered
-    Bytes full_size = 0;
-    Bytes tail_size = 0;
-  };
-  static constexpr std::uint32_t kNoTrain = 0xffffffffu;
-
-  static Bytes train_packet_size(const Train& tr, std::uint32_t i) {
-    return (tr.tail_size > 0 && i + 1 == tr.count) ? tr.tail_size
-                                                   : tr.full_size;
-  }
-
   void enqueue_item(FlowId flow, Item item);
-  void enqueue_train_items(std::uint32_t slot, std::uint32_t from);
   void fire_flowfwd_guard();
   void note_enqueue_depth(std::size_t depth);
   void begin_service(Item item);
   void finish_service();
-  void serve_train_next();
-  void demote_train();
-  void train_arrive(std::uint32_t slot, std::uint32_t index);
   void start_next();
   void note_depth_change();
 
@@ -211,28 +162,21 @@ class Link {
   /// serialization-end event captures only `this` and stays inline.
   Item in_service_{};
   bool busy_ = false;
-  SlotPool<Train> trains_;
-  std::uint32_t active_train_ = kNoTrain;  ///< train being fast-path served
   /// Fires on the next competing enqueue (flow-forward demotion hook).
   sim::EventFn ffwd_guard_;
   /// Suppresses depth-sample recording while demotions re-materialize
   /// queue entries whose samples were already recorded at accept time.
   bool suppress_depth_samples_ = false;
-  bool fast_ = true;
   std::size_t queued_packets_ = 0;
   Bytes queued_bytes_ = 0;
   std::uint64_t packets_ = 0;
   Bytes bytes_ = 0;
   Tick busy_time_ = 0;
-  std::uint64_t fast_trains_ = 0;
-  std::uint64_t fast_fallbacks_ = 0;
 
   // Observability (null = off; never influences scheduling decisions).
   obs::Counter* m_drr_rounds_ = nullptr;
   obs::Histogram* m_queue_depth_ = nullptr;
   obs::Gauge* m_queue_peak_ = nullptr;
-  obs::Counter* m_fast_trains_ = nullptr;
-  obs::Counter* m_fast_fallbacks_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   int trace_pid_ = 0;
   std::string trace_track_;

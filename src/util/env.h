@@ -39,14 +39,6 @@ inline bool env_flag(const char* name) {
   return v != nullptr && v[0] == '1';
 }
 
-/// Like env_flag, but unset/empty means `fallback` — for default-on knobs
-/// (ACTNET_FASTPATH=0 disables, unset leaves it on).
-inline bool env_flag_or(const char* name, bool fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  return v[0] == '1';
-}
-
 /// Default-on knob accepting word forms too (ACTNET_FLOWFWD=on|off|1|0).
 /// Unset, empty, or unrecognized values mean `fallback`.
 inline bool env_onoff_or(const char* name, bool fallback) {

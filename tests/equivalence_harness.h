@@ -2,8 +2,8 @@
 // (scheduler heap-vs-ladder, flow-forward on/off).
 //
 // These tests all have the same shape: run the same deterministic workload
-// under two corners of a knob matrix ({scheduler} x {fastpath} x
-// {flowfwd}) and demand byte-identical results — or, where
+// under two corners of a knob matrix ({scheduler} x {flowfwd}) and
+// demand byte-identical results — or, where
 // RNG draw order legitimately shifts, gate the drift against the
 // checked-in envelope in valid/tolerances.json. The pieces every such
 // test needs (a platform-independent generator, temp cache paths, the
@@ -97,10 +97,9 @@ class ScopedEnv {
 /// Runs one reduced campaign under the given knob settings and returns
 /// the cache file bytes. Returns true from `ran` via the report check.
 inline std::string run_combo(const std::string& path, const char* scheduler,
-                             const char* fastpath, const char* flowfwd) {
+                             const char* flowfwd) {
   std::filesystem::remove(path);
   ScopedEnv sched("ACTNET_SCHEDULER", scheduler);
-  ScopedEnv fast("ACTNET_FASTPATH", fastpath);
   ScopedEnv ffwd("ACTNET_FLOWFWD", flowfwd);
   core::Campaign c(reduced_config(path));
   core::ParallelRunner(c).prefetch_all();

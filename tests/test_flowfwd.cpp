@@ -116,17 +116,12 @@ void make_deterministic(net::NetworkConfig& cfg) {
 }
 
 RunLog run_script(sim::SchedulerKind kind, const net::NetworkConfig& cfg,
-                  const std::vector<Send>& script, bool fastpath,
-                  bool flowfwd, std::uint64_t seed = 42) {
+                  const std::vector<Send>& script, bool flowfwd,
+                  std::uint64_t seed = 42) {
   sim::Engine eng(kind);
   obs::Registry reg;
   net::Network net(eng, cfg, Rng(seed));
   net.attach_metrics(reg);
-  if (!fastpath)
-    for (int n = 0; n < cfg.nodes; ++n) {
-      const_cast<net::Link&>(net.uplink(n)).set_fast_path(false);
-      const_cast<net::Link&>(net.downlink(n)).set_fast_path(false);
-    }
   net.set_flow_forward(flowfwd);
   const net::FlowId flows = net.allocate_flows(cfg.nodes);
 
@@ -190,9 +185,9 @@ TEST(FlowForward, SerialTrafficBitIdenticalWithRandomSwitch) {
   net::NetworkConfig cfg = irregular_config(4);  // default random switch
   const auto script = serial_script();
   const RunLog off = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                /*fastpath=*/true, /*flowfwd=*/false);
+                                /*flowfwd=*/false);
   const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                               /*fastpath=*/true, /*flowfwd=*/true);
+                               /*flowfwd=*/true);
   EXPECT_EQ(on, off);
   EXPECT_EQ(off.flowfwd_messages, 0u);
   EXPECT_EQ(on.flowfwd_messages, script.size());
@@ -228,23 +223,21 @@ TEST(FlowForward, ContendedTrafficExactWithDeterministicSwitch) {
     const auto script = random_script(seed, cfg.nodes, 40);
     // Reference: per-packet DRR all the way down.
     const RunLog ref = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                  /*fastpath=*/false, /*flowfwd=*/false);
+                                  /*flowfwd=*/false);
     ASSERT_EQ(ref.messages_delivered, script.size()) << "seed " << seed;
-    // Every point of the {scheduler} x {fastpath} x {flowfwd} matrix must
-    // reproduce it exactly.
+    // Every point of the {scheduler} x {flowfwd} matrix must reproduce it
+    // exactly.
     for (const auto kind :
          {sim::SchedulerKind::kHeap, sim::SchedulerKind::kLadder}) {
-      for (const bool fast : {false, true}) {
-        for (const bool ffwd : {false, true}) {
-          const RunLog got = run_script(kind, cfg, script, fast, ffwd);
-          ASSERT_EQ(got, ref)
-              << "seed " << seed << " scheduler "
-              << (kind == sim::SchedulerKind::kHeap ? "heap" : "ladder")
-              << " fastpath " << fast << " flowfwd " << ffwd;
-          if (ffwd) {
-            total_demotions += got.flowfwd_demotions;
-            total_flowfwd += got.flowfwd_messages;
-          }
+      for (const bool ffwd : {false, true}) {
+        const RunLog got = run_script(kind, cfg, script, ffwd);
+        ASSERT_EQ(got, ref)
+            << "seed " << seed << " scheduler "
+            << (kind == sim::SchedulerKind::kHeap ? "heap" : "ladder")
+            << " flowfwd " << ffwd;
+        if (ffwd) {
+          total_demotions += got.flowfwd_demotions;
+          total_flowfwd += got.flowfwd_messages;
         }
       }
     }
@@ -274,9 +267,9 @@ TEST(FlowForward, DemotionExactInEveryPhase) {
           Send{td, hit_uplink ? 0 : 2, hit_uplink ? 2 : 1, 3000},
       };
       const RunLog off = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                    /*fastpath=*/true, /*flowfwd=*/false);
+                                    /*flowfwd=*/false);
       const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg, script,
-                                   /*fastpath=*/true, /*flowfwd=*/true);
+                                   /*flowfwd=*/true);
       ASSERT_EQ(on, off) << "competitor at " << td << " hitting "
                          << (hit_uplink ? "uplink" : "downlink");
     }
@@ -289,8 +282,7 @@ TEST(FlowForward, SharedQueueSwitchNeverFastForwards) {
   net::NetworkConfig cfg = irregular_config(4);
   cfg.switch_kind = net::SwitchKind::kSharedQueue;
   const RunLog on = run_script(sim::SchedulerKind::kHeap, cfg,
-                               serial_script(), /*fastpath=*/true,
-                               /*flowfwd=*/true);
+                               serial_script(), /*flowfwd=*/true);
   EXPECT_EQ(on.flowfwd_messages, 0u);
   EXPECT_EQ(on.messages_delivered, serial_script().size());
 }

@@ -2,6 +2,7 @@
 // flows, counters.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/link.h"
@@ -92,8 +93,7 @@ TEST(Link, QueueCountersTrackBacklog) {
   // One packet is in service; two still queued.
   EXPECT_EQ(link.queued_packets(), 2u);
   EXPECT_TRUE(link.busy());
-  EXPECT_EQ(link.active_flows() + (link.queued_packets() ? 0u : 0u),
-            link.active_flows());
+  EXPECT_EQ(link.active_flows(), 2u);
   e.run();
   EXPECT_EQ(link.queued_packets(), 0u);
   EXPECT_EQ(link.queued_bytes(), 0);
@@ -150,143 +150,87 @@ TEST(Link, ProbePacketsUnderBulkLoadWaitFractionOfRoundNotBacklog) {
   EXPECT_LT(probe_wait_us.max(), 50.0);
 }
 
-// --- packet-train fast path (DESIGN.md §5.9) ---
+// --- multi-packet bursts: enqueue() every packet, then start() ---
 
-TEST(Link, TrainUncontendedMatchesPerPacketTiming) {
+/// A hand-checked DRR schedule (1 GB/s, so 1 byte = 1 ns). The burst's
+/// lone flow earns 2048 B at t=0 and spends it on packets 0 and 1, then
+/// earns 2048 B more at t=2000 for packets 2 and 3, leaving 96 B at t=4000.
+/// The competitor that joined the ring at t=2500 serves next, over
+/// [4000, 4800), before flow 1's third visit. One transmit() per packet
+/// would serve packet 0 outside DRR, exhaust flow 1's visit a packet
+/// earlier, and let the competitor arrive at 3800.
+TEST(Link, BurstArbitratesAsOneBacklog) {
   sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
-  std::vector<std::pair<std::uint32_t, Tick>> arrivals;
-  Tick last_serialized = -1;
-  link.transmit_train(1, 3, 500, 0, [&] { last_serialized = e.now(); },
-                      [&](std::uint32_t i) { arrivals.emplace_back(i, e.now()); });
-  EXPECT_TRUE(link.busy());
-  EXPECT_EQ(link.queued_packets(), 0u);  // served from the train record
+  Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
+  std::vector<std::pair<int, Tick>> log;  // (packet, or 100 = competitor)
+  for (int i = 0; i < 8; ++i)
+    link.enqueue(1, 1000, nullptr, [&, i] { log.emplace_back(i, e.now()); });
+  link.start();
+  e.schedule_at(2500, [&] {
+    link.transmit(2, 800, nullptr, [&] { log.emplace_back(100, e.now()); });
+  });
   e.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], (std::pair<std::uint32_t, Tick>{0, 500}));
-  EXPECT_EQ(arrivals[1], (std::pair<std::uint32_t, Tick>{1, 1000}));
-  EXPECT_EQ(arrivals[2], (std::pair<std::uint32_t, Tick>{2, 1500}));
-  EXPECT_EQ(last_serialized, 1500);
-  EXPECT_EQ(link.fastpath_trains(), 1u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
-  EXPECT_EQ(link.packets_sent(), 3u);
-  EXPECT_EQ(link.bytes_sent(), 1500);
-  EXPECT_EQ(link.busy_time(), 1500);
-  EXPECT_FALSE(link.busy());
+  const std::vector<std::pair<int, Tick>> expected = {
+      {0, 1000}, {1, 2000}, {2, 3000}, {3, 4000}, {100, 4800},
+      {4, 5800}, {5, 6800}, {6, 7800}, {7, 8800}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(link.bytes_sent(), 8800);
 }
 
-TEST(Link, TrainTailPacketUsesTailSize) {
+TEST(Link, BurstPacketsKeepTheirOwnSizes) {
   sim::Engine e;
   Link link(e, units::GBps(1.0), 100);
   std::vector<Tick> arrivals;
-  link.transmit_train(1, 3, 1000, 250, nullptr,
-                      [&](std::uint32_t) { arrivals.push_back(e.now()); });
+  Tick last_serialized = -1;
+  const Bytes sizes[] = {1000, 1000, 250};  // a message with a short tail
+  for (int i = 0; i < 3; ++i) {
+    sim::EventFn on_serialized;
+    if (i == 2) on_serialized = [&] { last_serialized = e.now(); };
+    link.enqueue(1, sizes[i], std::move(on_serialized),
+                 [&] { arrivals.push_back(e.now()); });
+  }
+  EXPECT_FALSE(link.busy());  // nothing serves before start()
+  EXPECT_EQ(link.queued_packets(), 3u);
+  link.start();
+  EXPECT_TRUE(link.busy());
+  EXPECT_EQ(link.queued_packets(), 2u);
   e.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], 1100);
-  EXPECT_EQ(arrivals[1], 2100);
-  EXPECT_EQ(arrivals[2], 2350);  // 2250 serialized + 100 propagation
+  EXPECT_EQ(arrivals, (std::vector<Tick>{1100, 2100, 2350}));
+  EXPECT_EQ(last_serialized, 2250);
+  EXPECT_EQ(link.packets_sent(), 3u);
   EXPECT_EQ(link.bytes_sent(), 2250);
-}
-
-TEST(Link, DisabledFastPathGivesIdenticalTimingsWithoutTrains) {
-  sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
-  link.set_fast_path(false);
-  std::vector<Tick> arrivals;
-  link.transmit_train(1, 3, 500, 0, nullptr,
-                      [&](std::uint32_t) { arrivals.push_back(e.now()); });
-  e.run();
-  ASSERT_EQ(arrivals.size(), 3u);
-  EXPECT_EQ(arrivals[0], 500);
-  EXPECT_EQ(arrivals[1], 1000);
-  EXPECT_EQ(arrivals[2], 1500);
-  EXPECT_EQ(link.fastpath_trains(), 0u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
-}
-
-/// The determinism claim in one scenario: a competing flow lands mid-train
-/// and the fast path must demote the remaining packets into exactly the
-/// per-packet DRR state, so every arrival keeps its tick and order.
-TEST(Link, MidTrainFallbackReproducesPerPacketSchedule) {
-  const auto run_scenario = [](bool fast) {
-    sim::Engine e;
-    Link link(e, units::GBps(1.0), 0, /*quantum=*/2048);
-    link.set_fast_path(fast);
-    std::vector<std::pair<int, Tick>> log;  // (tag, arrival tick)
-    link.transmit_train(1, 8, 1000, 0, nullptr, [&](std::uint32_t i) {
-      log.emplace_back(static_cast<int>(i), e.now());
-    });
-    // Competitor arrives while packet 2 of the train is serializing.
-    e.schedule_at(2500, [&] {
-      link.transmit(2, 800, nullptr, [&] { log.emplace_back(100, e.now()); });
-      if (fast) {
-        EXPECT_EQ(link.fastpath_fallbacks(), 1u);
-        EXPECT_GT(link.queued_packets(), 0u);  // demoted tail is queued
-      }
-    });
-    e.run();
-    struct Result {
-      std::vector<std::pair<int, Tick>> log;
-      Tick finished;
-      Bytes bytes;
-    };
-    return Result{std::move(log), e.now(), link.bytes_sent()};
-  };
-  const auto fast = run_scenario(true);
-  const auto slow = run_scenario(false);
-  ASSERT_EQ(fast.log.size(), 9u);
-  EXPECT_EQ(fast.log, slow.log);
-  EXPECT_EQ(fast.finished, slow.finished);
-  EXPECT_EQ(fast.bytes, slow.bytes);
+  EXPECT_EQ(link.busy_time(), 2250);
 }
 
 TEST(Link, ReentrantTransmitFromLastSerializedCallback) {
   sim::Engine e;
   Link link(e, units::GBps(1.0), 0);
   std::vector<std::pair<int, Tick>> log;
-  link.transmit_train(
-      1, 2, 500, 0,
+  link.enqueue(1, 500, nullptr, [&] { log.emplace_back(0, e.now()); });
+  link.enqueue(
+      1, 500,
       [&] {
-        // Fires at t=1000, mid finish_service: the train is fully
-        // serialized but not yet retired. The new packet must queue behind
-        // it and serve immediately after.
+        // Fires at t=1000 inside finish_service, while the port is still
+        // busy: the new packet must queue and serve right after.
         link.transmit(2, 300, nullptr,
                       [&] { log.emplace_back(100, e.now()); });
       },
-      [&](std::uint32_t i) { log.emplace_back(static_cast<int>(i), e.now()); });
+      [&] { log.emplace_back(1, e.now()); });
+  link.start();
   e.run();
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_EQ(log[0], (std::pair<int, Tick>{0, 500}));
-  EXPECT_EQ(log[1], (std::pair<int, Tick>{1, 1000}));
-  EXPECT_EQ(log[2], (std::pair<int, Tick>{100, 1300}));
-  // Fully serialized train is not "demoted": no fallback is counted.
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
+  const std::vector<std::pair<int, Tick>> expected = {
+      {0, 500}, {1, 1000}, {100, 1300}};
+  EXPECT_EQ(log, expected);
   EXPECT_FALSE(link.busy());
 }
 
-TEST(Link, BackToBackTrainsRecycleThePool) {
+TEST(Link, InvalidEnqueueArgumentsThrow) {
   sim::Engine e;
   Link link(e, units::GBps(1.0), 0);
-  int arrivals = 0;
-  for (int t = 0; t < 4; ++t) {
-    link.transmit_train(1, 4, 250, 0, nullptr,
-                        [&](std::uint32_t) { ++arrivals; });
-    e.run();
-  }
-  EXPECT_EQ(arrivals, 16);
-  EXPECT_EQ(link.fastpath_trains(), 4u);
-  EXPECT_EQ(link.fastpath_fallbacks(), 0u);
-}
-
-TEST(Link, InvalidTrainArgumentsThrow) {
-  sim::Engine e;
-  Link link(e, units::GBps(1.0), 0);
-  EXPECT_THROW(link.transmit_train(1, 0, 500, 0, nullptr, [](std::uint32_t) {}),
-               Error);
-  EXPECT_THROW(link.transmit_train(1, 3, 0, 0, nullptr, [](std::uint32_t) {}),
-               Error);
-  EXPECT_THROW(link.transmit_train(1, 3, 500, 0, nullptr, nullptr), Error);
+  EXPECT_THROW(link.enqueue(1, 0, nullptr, [] {}), Error);
+  EXPECT_THROW(link.enqueue(1, 100, nullptr, nullptr), Error);
+  link.start();  // nothing queued: a no-op
+  EXPECT_FALSE(link.busy());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Heap vs ladder scheduler equivalence (DESIGN.md §5.9) and the
-// {scheduler} x {fastpath} x {flowfwd} campaign matrix (§5.12).
+// {scheduler} x {flowfwd} campaign matrix (§5.12).
 //
 // The ladder/calendar queue is only allowed to exist because it drains in
 // EXACTLY the heap's (time, seq) total order. These tests attack that claim
@@ -7,8 +7,8 @@
 // both engines (same-tick bursts, far-future spills past the ladder's ring
 // horizon, run_until interleavings and short bounded windows followed by
 // pushes behind the ladder's settled cursor), event-budget accounting, and
-// a full reduced campaign where every {scheduler} x {fastpath} combination
-// with flow-forward pinned on must reproduce the same cache byte for byte.
+// a full reduced campaign where both schedulers, with flow-forward pinned
+// on, must reproduce the same cache byte for byte.
 // Flow-forward ON vs OFF interleaves switch-stage RNG draws differently on
 // contended ImpactB traffic, so that comparison is gated against the
 // checked-in drift envelope in valid/tolerances.json instead.
@@ -216,40 +216,22 @@ TEST(SchedulerEquivalence, EnvVariableSelectsScheduler) {
   ::unsetenv("ACTNET_SCHEDULER");
 }
 
-// --- end-to-end: scheduler + fast path must not change a single byte ---
+// --- end-to-end: the scheduler must not change a single byte ---
 // (rig shared with the flow-forward suite: see equivalence_harness.h)
 
 TEST(SchedulerEquivalence, CampaignCacheAndPredictionsAreByteIdentical) {
-  // Reference: the classic configuration — heap scheduler, per-packet DRR,
-  // flow-forward on (the default regime every combo must reproduce).
-  const std::string ref_path = temp_cache("heap_slow");
-  const std::string ref_bytes = run_combo(ref_path, "heap", "0", "1");
+  // Reference: the heap scheduler with flow-forward on. The ladder (the
+  // shipped default) shares its RNG draw schedule, so the caches must match
+  // byte for byte.
+  const std::string ref_path = temp_cache("heap");
+  const std::string ref_bytes = run_combo(ref_path, "heap", "1");
   ASSERT_FALSE(ref_bytes.empty());
-
-  // Every other corner of the {scheduler} x {fastpath} matrix shares the
-  // reference's RNG draw schedule, so the caches must match byte for byte.
-  const struct {
-    const char* tag;
-    const char* scheduler;
-    const char* fastpath;
-  } combos[] = {
-      {"heap_fast", "heap", "1"},
-      {"ladder_slow", "ladder", "0"},
-      {"ladder_fast", "ladder", "1"},  // the shipped defaults
-  };
-  std::string last_path;
-  for (const auto& combo : combos) {
-    const std::string path = temp_cache(combo.tag);
-    EXPECT_EQ(run_combo(path, combo.scheduler, combo.fastpath, "1"),
-              ref_bytes)
-        << combo.tag;
-    if (!last_path.empty()) std::filesystem::remove(last_path);
-    last_path = path;
-  }
+  const std::string ladder_path = temp_cache("ladder");
+  EXPECT_EQ(run_combo(ladder_path, "ladder", "1"), ref_bytes);
 
   // Every model prediction for every ordered application pair, too.
   core::Campaign a(reduced_config(ref_path));
-  core::Campaign b(reduced_config(last_path));
+  core::Campaign b(reduced_config(ladder_path));
   const auto& apps = apps::all_apps();
   for (const auto& victim : apps)
     for (const auto& aggressor : apps) {
@@ -264,7 +246,7 @@ TEST(SchedulerEquivalence, CampaignCacheAndPredictionsAreByteIdentical) {
     }
 
   std::filesystem::remove(ref_path);
-  std::filesystem::remove(last_path);
+  std::filesystem::remove(ladder_path);
 }
 
 // --- flow-forward on vs off: tolerance-gated, not byte-identical ---
@@ -291,8 +273,8 @@ TEST(SchedulerEquivalence, FlowForwardCampaignDriftStaysWithinEnvelope) {
 
   const std::string on_path = temp_cache("ffwd_on");
   const std::string off_path = temp_cache("ffwd_off");
-  run_combo(on_path, "ladder", "1", "1");
-  const std::string off_bytes = run_combo(off_path, "ladder", "1", "0");
+  run_combo(on_path, "ladder", "1");
+  const std::string off_bytes = run_combo(off_path, "ladder", "0");
   ASSERT_FALSE(off_bytes.empty());
 
   core::Campaign on(reduced_config(on_path));
